@@ -1,18 +1,33 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-record check difftest faultinject fuzz soak obs cluster chaos storagefault
+.PHONY: all build fmt vet test procs race bench bench-record check difftest faultinject fuzz soak obs cluster chaos storagefault
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# Fails when any Go file of the checkout (the benchmark build directory
+# aside) is not gofmt-formatted, listing the offenders.
+fmt:
+	@out="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
+
+# The engine and the differential harness at two fixed GOMAXPROCS
+# settings: the default worker count is host-derived (Workers 0 =
+# GOMAXPROCS), so a test that silently assumes a serial or a parallel run
+# passes on one host and fails on another. Running both settings on every
+# host keeps tier-1 independent of the core count.
+procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/difftest
+	GOMAXPROCS=4 $(GO) test -count=1 ./internal/core ./internal/difftest
 
 # The race pass runs in -short mode: the brute-force reference miners of
 # the heavyweight cross-validation tests are orders of magnitude slower
@@ -130,5 +145,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDISCAllVsOracle -fuzztime $(FUZZTIME) ./internal/difftest
 	$(GO) test -run '^$$' -fuzz FuzzDynamicVsOracle -fuzztime $(FUZZTIME) ./internal/difftest
 
-# check is what CI runs: vet, build, the full suite, then the race pass.
-check: vet build test race
+# check is what CI runs: the gofmt gate, vet, build, the full suite, the
+# two-GOMAXPROCS engine pass, then the race pass.
+check: fmt vet build test procs race

@@ -115,14 +115,18 @@ func (t *Tree[K, V]) Observe(r *Recorder) *Tree[K, V] {
 	return t
 }
 
-// Reset empties the tree in O(used) time (one memclr of the key slab)
-// while keeping every slab and every bucket's capacity allocated: the
-// next fill of comparable size performs zero allocations. Buckets keep
-// their element storage; keys are cleared eagerly so large key values
-// (patterns) do not outlive the round that created them.
+// Reset empties the tree in O(used) time (one memclr of the key slab and
+// of each bucket) while keeping every slab and every bucket's capacity
+// allocated: the next fill of comparable size performs zero allocations.
+// Keys and bucket values are cleared eagerly so neither large keys
+// (patterns) nor the values' referents outlive the round that created
+// them.
 func (t *Tree[K, V]) Reset() {
 	if t.used > 1 {
 		clear(t.keys[1:t.used])
+		for i := int32(1); i < t.used; i++ {
+			t.releaseBucket(i)
+		}
 	}
 	t.root, t.free, t.pending = 0, 0, 0
 	if len(t.nodes) > 0 {
@@ -268,14 +272,24 @@ func (t *Tree[K, V]) flushPending() {
 	}
 }
 
-// freeSlot pushes slot i onto the free list. The key is cleared eagerly
-// (large keys must not outlive their round); the bucket keeps its
-// backing array so a future alloc of this slot appends into warm memory.
+// freeSlot pushes slot i onto the free list. The key and the bucket's
+// values are cleared eagerly (a popped value must not stay reachable
+// through the slab); the bucket keeps its backing array so a future alloc
+// of this slot appends into warm memory.
 func (t *Tree[K, V]) freeSlot(i int32) {
 	var zk K
 	t.keys[i] = zk
+	t.releaseBucket(i)
 	t.nodes[i].left = t.free
 	t.free = i
+}
+
+// releaseBucket zeroes bucket i's values and empties it, keeping its
+// capacity. Every bucket is released before its slot is reused, so the
+// element storage past a bucket's length is always zero.
+func (t *Tree[K, V]) releaseBucket(i int32) {
+	clear(t.vals[i])
+	t.vals[i] = t.vals[i][:0]
 }
 
 // Min returns the smallest key and its bucket. ok is false on an empty

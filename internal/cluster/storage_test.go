@@ -48,7 +48,7 @@ func TestStorageGCSweepsAndScrubsLedgerDir(t *testing.T) {
 	}
 
 	c := New(Config{
-		Peers: []string{"http://127.0.0.1:1"}, // never contacted
+		Peers:     []string{"http://127.0.0.1:1"}, // never contacted
 		LedgerDir: dir, StorageRetention: 24 * time.Hour, Logf: t.Logf,
 	})
 	c.StorageGC()

@@ -1,12 +1,13 @@
 // Round arenas of the DISC-all engine. Every per-round and per-partition
 // scratch structure — counting arrays, split trees, the k-sorted database
-// tree, extension flag tables, k-minimum buffers — lives in one scratch
-// bundle owned by an engine. A serial run keeps one bundle for its whole
-// lifetime; a parallel run draws bundles from a sync.Pool shared by the
-// engine tree, so live scratch memory stays proportional to workers ×
-// depth while steady-state rounds allocate nothing: trees reset by slab
-// rewind, counting arrays by epoch stamping, flag tables by memclr, item
-// buffers by re-slicing to length zero.
+// tree, extension flag tables, k-minimum buffers, the reduced-sequence
+// staging store — lives in one scratch bundle owned by an engine. A
+// serial run keeps one bundle for its whole lifetime; a parallel run
+// draws bundles from a sync.Pool shared by the engine tree, so live
+// scratch memory stays proportional to workers × depth while steady-state
+// rounds allocate nothing: trees reset by slab rewind, counting arrays by
+// epoch stamping, flag tables by memclr, item buffers by re-slicing to
+// length zero.
 //
 // Aliasing rules (all proven by the -race hammer in arena_test.go):
 //
@@ -19,6 +20,9 @@
 //     flags are live and before the level-1 split fills its own.
 //   - One DISC tree suffices per bundle: discLoop is a leaf of the
 //     partition recursion (discover never re-enters processPartition).
+//   - The reduced-sequence staging store is written only by
+//     reduceMembers and frozen before it returns: the frozen slabs escape
+//     into the partition's recursion, the staging buffers never do.
 //   - eagerBuckets chunk goroutines read the submitting engine's flag
 //     tables concurrently but strictly read-only, bounded by the wg.Wait
 //     in the same call.
@@ -47,17 +51,16 @@ type scratch struct {
 	avlRec  *avl.Recorder
 	cntRec  *counting.Recorder
 
-	arrays     []*counting.Array                     // per-depth counting arrays
-	splitTrees []avl.Interface[seq.Pattern, *member] // per-level split trees
-	disc       avl.Interface[seq.Pattern, discEntry] // the k-sorted database tree
-	flags      []boolTable                           // per-level extension flags
-	redFlags   boolTable                             // reduceMembers' dedicated pair
-	seen       []bool                                // level-0 DistinctItems bitmap
-	itemBuf    []seq.Item                            // DistinctItems output buffer
-	fi, fs     []seq.Item                            // FrequentI/FrequentS output buffers
-	membersBuf []*member                             // discLoop's mutable member copy
-	sets       []seq.Itemset                         // reduceMembers per-customer itemset headers
-	redBuf     []seq.Item                            // reduceMembers flat surviving-item storage
+	arrays     []*counting.Array                              // per-depth counting arrays
+	splitTrees []avl.Interface[seq.Pattern, *seq.CustomerSeq] // per-level split trees
+	disc       avl.Interface[seq.Pattern, discEntry]          // the k-sorted database tree
+	flags      []boolTable                                    // per-level extension flags
+	redFlags   boolTable                                      // reduceMembers' dedicated pair
+	reduced    seq.Store                                      // reduceMembers' staging buffers
+	seen       []bool                                         // level-0 DistinctItems bitmap
+	itemBuf    []seq.Item                                     // DistinctItems output buffer
+	fi, fs     []seq.Item                                     // FrequentI/FrequentS output buffers
+	membersBuf []*seq.CustomerSeq                             // discLoop's mutable member copy
 }
 
 func newScratch(maxItem seq.Item, pointer bool, avlRec *avl.Recorder, cntRec *counting.Recorder) *scratch {
@@ -79,13 +82,13 @@ func (s *scratch) array(depth int) *counting.Array {
 }
 
 // splitTree returns the reset split tree for one recursion level.
-func (s *scratch) splitTree(level int) avl.Interface[seq.Pattern, *member] {
+func (s *scratch) splitTree(level int) avl.Interface[seq.Pattern, *seq.CustomerSeq] {
 	for len(s.splitTrees) <= level {
 		s.splitTrees = append(s.splitTrees, nil)
 	}
 	t := s.splitTrees[level]
 	if t == nil {
-		t = newTree[*member](s.pointer, s.avlRec)
+		t = newTree[*seq.CustomerSeq](s.pointer, s.avlRec)
 		s.splitTrees[level] = t
 	}
 	t.Reset()
@@ -144,9 +147,11 @@ func (s *scratch) seenBitmap() []bool {
 	return s.seen
 }
 
-// release drops round-local references (pattern keys in trees, member
-// pointers in buffers) while keeping every slab and capacity, so a pooled
-// bundle neither leaks the previous partition's data nor re-allocates.
+// release drops round-local references (pattern keys and customer
+// pointers in trees and buffers) while keeping every slab and capacity, so
+// a pooled bundle neither pins the previous partition's reduced slab nor
+// re-allocates. It also rewinds the reduction staging, which a partition
+// that failed or panicked mid-reduction leaves half-built.
 func (s *scratch) release() {
 	for _, t := range s.splitTrees {
 		if t != nil {
@@ -158,8 +163,7 @@ func (s *scratch) release() {
 	}
 	clear(s.membersBuf)
 	s.membersBuf = s.membersBuf[:0]
-	clear(s.sets)
-	s.sets = s.sets[:0]
+	s.reduced.Reset()
 }
 
 // MemBytes reports the bundle's total slab footprint: exact for the slab
@@ -186,9 +190,9 @@ func (s *scratch) MemBytes() int64 {
 	}
 	perFlag += int64(cap(s.redFlags.freqI) + cap(s.redFlags.freqS))
 	total += perFlag
-	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)+cap(s.redBuf)) * 4
+	total += int64(cap(s.itemBuf)+cap(s.fi)+cap(s.fs)) * 4
 	total += int64(cap(s.membersBuf)) * 8
-	total += int64(cap(s.sets)) * 24
+	total += s.reduced.MemBytes()
 	return total
 }
 

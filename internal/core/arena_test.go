@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -29,12 +28,14 @@ func TestArenaRaceHammer(t *testing.T) {
 	}
 	db := testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), ncust, 14, 8, 5)
 	const minSup = 4
-	ref, err := (&Miner{Opts: Options{BiLevel: true, Levels: 2}}).Mine(db, minSup)
+	ref, err := (&Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1}}).Mine(db, minSup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Sorted()
-	workers := runtime.GOMAXPROCS(0)
+	// A fixed pool width, not GOMAXPROCS: on a one-CPU host the runs
+	// must still schedule partitions onto pooled bundles.
+	const workers = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for run := 0; run < runs; run++ {
@@ -78,7 +79,7 @@ func TestArenaStatsCounters(t *testing.T) {
 		ncust = 200
 	}
 	db := testutil.SkewedRandomDB(rand.New(rand.NewSource(77)), ncust, 14, 8, 5)
-	serial := &Miner{Opts: Options{BiLevel: true, Levels: 2}}
+	serial := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: 1}}
 	if _, err := serial.Mine(db, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestArenaStatsCounters(t *testing.T) {
 // TestScratchSteadyStateAllocs is the regression guard for per-round
 // slice churn: once a bundle has served one partition of a given shape,
 // serving the same shape again — counting array, split tree, DISC tree,
-// flag tables, distinct-items scan, frequent-extension collection — must
-// not touch the heap at all.
+// flag tables, reduced-sequence staging, distinct-items scan,
+// frequent-extension collection — must not touch the heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
 	s := newScratch(40, false, nil, nil)
 	pats := make([]seq.Pattern, 16)
@@ -129,6 +130,14 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		}
 		rI, rS := s.reduceFlags()
 		rI[3], rS[5] = true, true
+		for c := 0; c < 4; c++ {
+			s.reduced.Begin()
+			for _, p := range pats {
+				s.reduced.Add(p.LastItem())
+				s.reduced.EndTransaction()
+			}
+			s.reduced.Commit(c)
+		}
 		_ = s.seenBitmap()
 		tree := s.splitTree(1)
 		for _, p := range pats {

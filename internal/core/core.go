@@ -303,11 +303,6 @@ func (d *Dynamic) MineContext(ctx context.Context, db mining.Database, minSup in
 	return res, err
 }
 
-// member is one customer sequence inside a partition.
-type member struct {
-	cs *seq.CustomerSeq
-}
-
 // engine runs the shared partition-or-DISC recursion. A parallel run
 // creates one child engine per scheduled partition (its own result set,
 // statistics and counting-array scratch state) and merges the children
@@ -370,10 +365,6 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 		e.sched.degraded = e.budget
 		e.pool = &scratchPool{maxItem: e.maxItem, pointer: e.opts.PointerTree, avlRec: e.avlRec, cntRec: e.cntRec}
 	}
-	members := make([]*member, len(db))
-	for i, cs := range db {
-		members[i] = &member{cs: cs}
-	}
 	// The serial walk (and everything the root goroutine itself executes)
 	// is contained here; worker goroutines are contained at their spawn
 	// sites in parallel.go. Either way a panic surfaces as an
@@ -381,7 +372,7 @@ func (e *engine) run(ctx context.Context, db mining.Database, minSup int) (*mini
 	sp := e.obs.Span("mine")
 	e.cur = sp
 	err := mining.Contain("<root>", func() error {
-		return e.processPartition(seq.Pattern{}, members, 0)
+		return e.processPartition(seq.Pattern{}, db, 0)
 	})
 	sp.End()
 	e.releaseScratch()
@@ -462,7 +453,7 @@ func (e *engine) array(depth int) *counting.Array {
 // the customers containing key (len(key) == level). It discovers the
 // frequent (level+1)-sequences with prefix key, then either splits into
 // child partitions or runs DISC, per the policy.
-func (e *engine) processPartition(key seq.Pattern, members []*member, level int) error {
+func (e *engine) processPartition(key seq.Pattern, members []*seq.CustomerSeq, level int) error {
 	// Deterministic fault-injection points: a partition boundary is
 	// where an injected worker panic or cancellation lands. Both are
 	// no-ops (one pointer check) without an armed injector.
@@ -548,15 +539,15 @@ func (e *engine) processPartition(key seq.Pattern, members []*member, level int)
 // of key, processes the partitions in ascending order, and reassigns
 // customers to their next minimal contained extension after each partition
 // finishes (Steps 2.2 and 2.1.3.3 of Figure 2).
-func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
+func (e *engine) split(key seq.Pattern, members []*seq.CustomerSeq, list []seq.Pattern, level int) error {
 	freqI, freqS := e.extensionFlags(key, list, level)
 	if level == 0 && e.prog != nil {
 		e.prog.begin(len(list))
 	}
 	tree := e.scratch().splitTree(level)
-	for _, mb := range members {
-		if x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, 0, 0, false); ok {
-			tree.Insert(key.Extend(x, no), mb)
+	for _, cs := range members {
+		if x, no, ok := minFreqExtension(cs, key, freqI, freqS, 0, 0, false); ok {
+			tree.Insert(key.Extend(x, no), cs)
 		}
 	}
 	for tree.Size() > 0 {
@@ -576,9 +567,9 @@ func (e *engine) split(key seq.Pattern, members []*member, list []seq.Pattern, l
 			e.prog.step()
 		}
 		bx, bno := pkey.LastItem(), pkey.LastTNo()
-		for _, mb := range bucket {
-			if x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, bx, bno, true); ok {
-				tree.Insert(key.Extend(x, no), mb)
+		for _, cs := range bucket {
+			if x, no, ok := minFreqExtension(cs, key, freqI, freqS, bx, bno, true); ok {
+				tree.Insert(key.Extend(x, no), cs)
 			}
 		}
 	}
@@ -648,24 +639,24 @@ func minFreqExtension(cs *seq.CustomerSeq, key seq.Pattern, freqI, freqS []bool,
 
 // frequentExtensions finds the frequent (len(key)+1)-sequences with prefix
 // key among members, in ascending order, together with their supports.
-func (e *engine) frequentExtensions(key seq.Pattern, members []*member, depth int) ([]seq.Pattern, []int) {
+func (e *engine) frequentExtensions(key seq.Pattern, members []*seq.CustomerSeq, depth int) ([]seq.Pattern, []int) {
 	s := e.scratch()
 	arr := s.array(depth)
 	if key.IsEmpty() {
 		// Level 0: frequent 1-sequences.
 		seen := s.seenBitmap()
 		buf := s.itemBuf
-		for ci, mb := range members {
-			buf = mb.cs.DistinctItems(buf[:0], seen)
+		for ci, cs := range members {
+			buf = cs.DistinctItems(buf[:0], seen)
 			for _, it := range buf {
 				arr.TouchS(it, int32(ci))
 			}
 		}
 		s.itemBuf = buf
 	} else {
-		for ci, mb := range members {
+		for ci, cs := range members {
 			cid := int32(ci)
-			kmin.EnumExtensions(mb.cs, key,
+			kmin.EnumExtensions(cs, key,
 				func(x seq.Item) { arr.TouchI(x, cid) },
 				func(x seq.Item) { arr.TouchS(x, cid) })
 		}
@@ -704,11 +695,19 @@ func mergeExtensions(key seq.Pattern, arr *counting.Array, fi, fs []seq.Item) ([
 // always kept. Customers reduced below length 3 are dropped (they were
 // already counted for lengths 1 and 2).
 //
+// The surviving items are appended to the arena's seq.Store and frozen
+// into one exact-sized slab set for the whole partition: the reduced
+// customer sequences are views into it, so the slab lives exactly as long
+// as the partition's recursion references them. The appends are trusted —
+// filtering a canonical transaction keeps it canonical — and the caller's
+// slice is left untouched: the parent split still walks it (with the
+// original, unreduced sequences) for reassignment.
+//
 // A member of the <(λ)>-partition must contain λ; a member that does not
 // means the database violates the documented canonical form (itemsets
 // sorted ascending, duplicate-free — see seq.NewCustomerSeq), and the run
 // reports that as an error rather than crashing from a worker goroutine.
-func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.Pattern) ([]*member, error) {
+func (e *engine) reduceMembers(lambda seq.Item, members []*seq.CustomerSeq, list2 []seq.Pattern) ([]*seq.CustomerSeq, error) {
 	s := e.scratch()
 	// reduceMembers runs at level 1 while the level-0 split's flag tables
 	// are live, so it uses the arena's dedicated pair.
@@ -721,16 +720,8 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 			freqS[x] = true
 		}
 	}
-	// The caller's slice is left untouched: the parent split still walks it
-	// (with the original, unreduced sequences) for reassignment. The
-	// reduced sequences escape into deeper partitions, so out is a fresh
-	// allocation; the surviving-item staging below is not (NewCustomerSeq
-	// copies, so one flat arena buffer serves every customer in turn).
-	out := make([]*member, 0, len(members))
-	sets := s.sets[:0]
-	buf := s.redBuf
-	for _, mb := range members {
-		cs := mb.cs
+	st := &s.reduced
+	for _, cs := range members {
 		minTrans := -1
 		for t := 0; t < cs.NTrans(); t++ {
 			if cs.Transaction(t).Has(lambda) {
@@ -741,22 +732,17 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 		if minTrans < 0 {
 			return nil, fmt.Errorf("core: malformed database: customer cid=%d was assigned to the partition of item %d but does not contain it (itemsets must be sorted ascending and duplicate-free; construct customer sequences with seq.NewCustomerSeq)", cs.CID, lambda)
 		}
-		sets = sets[:0]
-		if cap(buf) < cs.Len() {
-			buf = make([]seq.Item, 0, cs.Len())
-		}
-		buf = buf[:0]
+		st.Begin()
 		// The removal rules of §3.1 apply to items right of the minimum
 		// point only; earlier transactions are carried over unchanged (they
 		// cannot match any pattern starting with λ, but the paper's Table 7
 		// keeps them and they are harmless).
 		for t := 0; t < minTrans; t++ {
-			sets = append(sets, cs.Transaction(t))
+			st.AddTransaction(cs.Transaction(t))
 		}
 		for t := minTrans; t < cs.NTrans(); t++ {
 			tr := cs.Transaction(t)
 			hasLambda := tr.Has(lambda)
-			start := len(buf)
 			for _, x := range tr {
 				keep := false
 				switch {
@@ -775,21 +761,18 @@ func (e *engine) reduceMembers(lambda seq.Item, members []*member, list2 []seq.P
 					keep = freqS[x]
 				}
 				if keep {
-					buf = append(buf, x)
+					st.Add(x)
 				}
 			}
-			if len(buf) > start {
-				sets = append(sets, seq.Itemset(buf[start:len(buf):len(buf)]))
-			}
+			st.EndTransaction()
 		}
-		red := seq.NewCustomerSeq(cs.CID, sets...)
-		if red.Len() < 3 {
+		if st.Len() < 3 {
+			st.Discard()
 			continue
 		}
-		out = append(out, &member{cs: red})
+		st.Commit(cs.CID)
 	}
-	s.sets, s.redBuf = sets, buf
-	return out, nil
+	return st.Freeze(), nil
 }
 
 // sortPatternList sorts patterns ascending in place (defensive helper for

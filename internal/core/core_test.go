@@ -208,10 +208,7 @@ func TestReduceMembersTable7(t *testing.T) {
 	db := testutil.Table6()
 	e := &engine{minSup: 3, res: mining.NewResult(), maxItem: db.MaxItem(),
 		opts: DefaultOptions(), policy: func(int, float64) bool { return true }}
-	var members []*member
-	for _, cs := range db[:7] { // CIDs 1-7 form the <(a)>-partition
-		members = append(members, &member{cs: cs})
-	}
+	members := db[:7] // CIDs 1-7 form the <(a)>-partition
 	list2, _ := e.frequentExtensions(seq.MustParsePattern("(a)"), members, 1)
 	reduced, err := e.reduceMembers(1, members, list2)
 	if err != nil {
@@ -227,14 +224,14 @@ func TestReduceMembersTable7(t *testing.T) {
 	}
 	if len(reduced) != len(want) {
 		var got []string
-		for _, mb := range reduced {
-			got = append(got, mb.cs.Pattern().Letters())
+		for _, cs := range reduced {
+			got = append(got, cs.Pattern().Letters())
 		}
 		t.Fatalf("reduced partition = %v, want %d members", got, len(want))
 	}
-	for _, mb := range reduced {
-		if mb.cs.Pattern().Letters() != want[mb.cs.CID] {
-			t.Errorf("CID %d reduced = %s, want %s", mb.cs.CID, mb.cs.Pattern().Letters(), want[mb.cs.CID])
+	for _, cs := range reduced {
+		if cs.Pattern().Letters() != want[cs.CID] {
+			t.Errorf("CID %d reduced = %s, want %s", cs.CID, cs.Pattern().Letters(), want[cs.CID])
 		}
 	}
 }

@@ -19,13 +19,19 @@ type discEntry struct {
 // partition shrinks below δ (Step 2.1.3.2 of Figure 2). With the bi-level
 // option each call to discover handles lengths k and k+1 in one pass over
 // the k-sorted database.
-func (e *engine) discLoop(members []*member, listPrev []seq.Pattern, startK int) error {
+func (e *engine) discLoop(members []*seq.CustomerSeq, listPrev []seq.Pattern, startK int) error {
 	// Copy: the slice is filtered in place below, and the caller's split
 	// still needs its bucket intact for reassignment. The copy lives in
 	// the arena (discLoop is a leaf of the partition recursion, so one
-	// buffer per engine suffices).
+	// buffer per engine suffices). Dead entries are cleared as they are
+	// filtered out and the whole buffer on exit, so the arena never pins
+	// a finished partition's reduced slab.
 	s := e.scratch()
 	s.membersBuf = append(s.membersBuf[:0], members...)
+	defer func() {
+		clear(s.membersBuf)
+		s.membersBuf = s.membersBuf[:0]
+	}()
 	members = s.membersBuf
 	k := startK
 	for len(listPrev) > 0 && len(members) >= e.minSup {
@@ -43,11 +49,12 @@ func (e *engine) discLoop(members []*member, listPrev []seq.Pattern, startK int)
 		// Customers too short for the next level can never host another
 		// frequent sequence of this partition.
 		alive := members[:0]
-		for _, mb := range members {
-			if mb.cs.Len() >= k {
-				alive = append(alive, mb)
+		for _, cs := range members {
+			if cs.Len() >= k {
+				alive = append(alive, cs)
 			}
 		}
+		clear(members[len(alive):])
 		members = alive
 	}
 	return e.interrupted()
@@ -70,15 +77,15 @@ func (e *engine) discLoop(members []*member, listPrev []seq.Pattern, startK int)
 // partition: a counting-array pass over it yields the frequent
 // (k+1)-sequences with k-prefix α₁ (Figure 7), so one scan of the k-sorted
 // database serves two lengths.
-func (e *engine) discover(members []*member, listPrev []seq.Pattern, k int) (listK, listK1 []seq.Pattern) {
+func (e *engine) discover(members []*seq.CustomerSeq, listPrev []seq.Pattern, k int) (listK, listK1 []seq.Pattern) {
 	tree := e.scratch().discTree()
-	for i, mb := range members {
+	for i, cs := range members {
 		if i&cancelCheckMask == cancelCheckMask && e.interrupted() != nil {
 			return nil, nil
 		}
 		e.stats.KMSCalls++
-		if r, ok := kmin.KMS(mb.cs, listPrev); ok {
-			tree.Insert(r.Min, discEntry{cs: mb.cs, ptr: r.AprioriIdx})
+		if r, ok := kmin.KMS(cs, listPrev); ok {
+			tree.Insert(r.Min, discEntry{cs: cs, ptr: r.AprioriIdx})
 		} else {
 			e.stats.Dropped++
 		}

@@ -24,9 +24,9 @@ func TestDiscoverGoldenTables8to10(t *testing.T) {
 		"(a, g)(a, e, g)(g, h)",          // CID 7
 	}
 	cids := []int{1, 2, 3, 4, 6, 7}
-	var members []*member
+	var members []*seq.CustomerSeq
 	for i, body := range partition {
-		members = append(members, &member{cs: seq.MustParseCustomerSeq(cids[i], body)})
+		members = append(members, seq.MustParseCustomerSeq(cids[i], body))
 	}
 	list3 := []seq.Pattern{
 		seq.MustParsePattern("(a)(a, e)"),
@@ -90,9 +90,9 @@ func TestDiscoverWithoutBiLevel(t *testing.T) {
 		"(a, f)(a, e, g, h)",
 		"(a, g)(a, e, g)(g, h)",
 	}
-	var members []*member
+	var members []*seq.CustomerSeq
 	for i, body := range partition {
-		members = append(members, &member{cs: seq.MustParseCustomerSeq(i+1, body)})
+		members = append(members, seq.MustParseCustomerSeq(i+1, body))
 	}
 	list3 := []seq.Pattern{
 		seq.MustParsePattern("(a)(a, e)"),

@@ -161,7 +161,7 @@ func (p *progressTracker) finish() {
 // (e.g. the findExtension invariant) surfaces as that partition's error
 // — the run drains cleanly and Mine returns an *mining.InvariantError —
 // instead of killing the process from a goroutine no caller can recover.
-func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pattern, level int) error {
+func (e *engine) splitParallel(key seq.Pattern, members []*seq.CustomerSeq, list []seq.Pattern, level int) error {
 	buckets, err := e.eagerBuckets(key, members, list, level)
 	if err != nil {
 		return err
@@ -256,24 +256,24 @@ func (e *engine) splitParallel(key seq.Pattern, members []*member, list []seq.Pa
 // eagerBuckets' chunk goroutines read the submitting engine's arena flag
 // tables concurrently but strictly read-only, and all of them finish
 // (wg.Wait) before anything writes those tables again.
-func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pattern, level int) ([][]*member, error) {
+func (e *engine) eagerBuckets(key seq.Pattern, members []*seq.CustomerSeq, list []seq.Pattern, level int) ([][]*seq.CustomerSeq, error) {
 	if e.obs != nil {
 		defer e.obs.SpanUnder(e.cur, "eager_buckets").End()
 	}
 	freqI, freqS := e.extensionFlags(key, list, level)
-	assign := func(members []*member, buckets [][]*member) {
-		for _, mb := range members {
-			x, no, ok := minFreqExtension(mb.cs, key, freqI, freqS, 0, 0, false)
+	assign := func(members []*seq.CustomerSeq, buckets [][]*seq.CustomerSeq) {
+		for _, cs := range members {
+			x, no, ok := minFreqExtension(cs, key, freqI, freqS, 0, 0, false)
 			for ok {
 				i := findExtension(list, x, no)
-				buckets[i] = append(buckets[i], mb)
-				x, no, ok = minFreqExtension(mb.cs, key, freqI, freqS, x, no, true)
+				buckets[i] = append(buckets[i], cs)
+				x, no, ok = minFreqExtension(cs, key, freqI, freqS, x, no, true)
 			}
 		}
 	}
 	const chunkMin = 256 // below this, chunking overhead beats the win
 	if len(members) < chunkMin || e.sched == nil {
-		buckets := make([][]*member, len(list))
+		buckets := make([][]*seq.CustomerSeq, len(list))
 		// Inline on the submitting goroutine: a panic here is contained
 		// by the enclosing Contain of the worker (or of run itself).
 		assign(members, buckets)
@@ -284,7 +284,7 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pat
 		chunks = max
 	}
 	per := (len(members) + chunks - 1) / chunks
-	parts := make([][][]*member, chunks)
+	parts := make([][][]*seq.CustomerSeq, chunks)
 	errs := make([]error, chunks)
 	var wg sync.WaitGroup
 	for c := 0; c < chunks; c++ {
@@ -294,7 +294,7 @@ func (e *engine) eagerBuckets(key seq.Pattern, members []*member, list []seq.Pat
 		if hi > len(members) {
 			hi = len(members)
 		}
-		part := make([][]*member, len(list))
+		part := make([][]*seq.CustomerSeq, len(list))
 		parts[c] = part
 		e.sched.do(&wg, func() {
 			errs[c] = mining.Contain(site(key), func() error {

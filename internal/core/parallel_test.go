@@ -222,20 +222,17 @@ func TestEagerBucketsMatchLazySplit(t *testing.T) {
 		db := testutil.RandomDB(r, 12+r.Intn(10), 6, 4, 3)
 		minSup := 1 + r.Intn(3)
 		e := &engine{opts: DefaultOptions(), minSup: minSup, res: mining.NewResult(), maxItem: db.MaxItem()}
-		var members []*member
-		for _, cs := range db {
-			members = append(members, &member{cs: cs})
-		}
+		members := []*seq.CustomerSeq(db)
 		list, _ := e.frequentExtensions(seq.Pattern{}, members, 0)
 		buckets, err := e.eagerBuckets(seq.Pattern{}, members, list, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for b, key := range list {
-			var want []*member
-			for _, mb := range members {
-				if mb.cs.Contains(key) {
-					want = append(want, mb)
+			var want []*seq.CustomerSeq
+			for _, cs := range members {
+				if cs.Contains(key) {
+					want = append(want, cs)
 				}
 			}
 			if len(want) != len(buckets[b]) {

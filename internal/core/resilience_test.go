@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -108,7 +107,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		{"dynamic", func(o Options) mining.ContextMiner { return &Dynamic{Opts: o} },
 			Options{BiLevel: true, Gamma: 0.5}},
 	} {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range []int{1, 4} {
 			opts := tc.base
 			opts.Workers = workers
 			straightM := tc.mk(opts)
@@ -243,13 +242,14 @@ func TestDegradedRunCompletesWithProgress(t *testing.T) {
 
 // TestProgressNeverConcurrent pins the documented ProgressFunc
 // guarantee: the callback never runs concurrently with itself, at every
-// worker count from 1 to GOMAXPROCS. The callback mutates shared state
+// worker count from 1 to 4 (fixed, so a one-CPU host covers the parallel
+// scheduler too). The callback mutates shared state
 // without synchronization — under -race any overlap is a detected race,
 // and the explicit in-flight flag catches overlap even without -race.
 func TestProgressNeverConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
 	db := testutil.SkewedRandomDB(r, 100, 12, 6, 4)
-	for workers := 1; workers <= runtime.GOMAXPROCS(0); workers++ {
+	for workers := 1; workers <= 4; workers++ {
 		inFlight := false
 		calls := 0
 		var sink strings.Builder // unsynchronized mutation the race detector watches

@@ -176,14 +176,14 @@ type Manager struct {
 	// and /metrics both read them, so the two views cannot disagree.
 	// The counters are pre-created here so hot paths (Submit under
 	// m.mu) touch only atomics, never the registry lock.
-	obs       *obs.Observer
-	ids       *obs.IDSource // trace/span ID minting for every job trace
-	submitted *obs.Counter
-	deduped   *obs.Counter
-	cacheHits *obs.Counter
-	shed      *obs.Counter
-	drained   *obs.Counter
-	executed  *obs.Counter
+	obs          *obs.Observer
+	ids          *obs.IDSource // trace/span ID minting for every job trace
+	submitted    *obs.Counter
+	deduped      *obs.Counter
+	cacheHits    *obs.Counter
+	shed         *obs.Counter
+	drained      *obs.Counter
+	executed     *obs.Counter
 	resumed      *obs.Counter
 	finished     map[State]*obs.Counter
 	jobDur       map[State]*obs.Histogram
@@ -774,6 +774,13 @@ func (m *Manager) runJob(j *Job) {
 
 	res, err := m.mine(ctx, j, cp)
 	stopSnapshots()
+	// The mine is over: nothing reads the input database again (status,
+	// fingerprint dedup and a re-admitted resubmission all use the
+	// job's own fields or the new request), so a cached terminal job
+	// stops holding it.
+	j.mu.Lock()
+	j.req.DB = nil
+	j.mu.Unlock()
 
 	switch {
 	case err == nil:

@@ -118,6 +118,36 @@ func TestSubmitMinesAndServesFromCache(t *testing.T) {
 	}
 }
 
+// TestDoneJobDropsDatabase: a cached terminal job keeps its result, not
+// its input — the database is released once the mine returns, and
+// status, fingerprint dedup and resubmission keep working without it.
+func TestDoneJobDropsDatabase(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer drain(t, m)
+	req := reqFor(testutil.Table1(), 2)
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, j)
+	if st.State != StateDone || st.Algo != "disc-all" || st.MinSup != 2 || st.Patterns == 0 {
+		t.Fatalf("status = %+v", st)
+	}
+	j.mu.Lock()
+	db := j.req.DB
+	j.mu.Unlock()
+	if db != nil {
+		t.Fatalf("done job still references its %d-customer database", len(db))
+	}
+	j2, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2 != j || m.ExecCount(j.ID()) != 1 {
+		t.Fatalf("resubmission after the database was dropped: same job %v, executions %d", j2 == j, m.ExecCount(j.ID()))
+	}
+}
+
 func TestUnknownAlgorithmRejectedAtAdmission(t *testing.T) {
 	m := NewManager(Config{})
 	defer drain(t, m)
