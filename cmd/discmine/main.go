@@ -6,7 +6,9 @@
 //	discmine -in db.txt -minsup 0.005 [-algo disc-all] [-workers 4] [-timeout 30s] [-top 20] [-stats] [-o patterns.txt]
 //
 // minsup below 1 is a fraction of the database size; at or above 1 it is
-// the absolute minimum support count δ.
+// the absolute minimum support count δ (a count above the database size
+// mines nothing). NaN, infinities and values at or below 0 are rejected.
+// discserve converts its minsup parameter the same way.
 //
 // -workers bounds the partition worker pool of the disc-all variants
 // (0 = one worker per CPU; the mined result is identical at every
@@ -133,9 +135,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "loaded %s\n", disc.DescribeDatabase(db))
 
-	delta := int(*minsup)
-	if *minsup < 1 {
-		delta = disc.AbsSupport(*minsup, len(db))
+	delta, err := cliutil.Delta(*minsup, len(db))
+	if err != nil {
+		return err
 	}
 	algorithm := disc.Algorithm(*algo)
 	opts := disc.DefaultOptions()

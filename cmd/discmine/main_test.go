@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,6 +54,56 @@ func TestFractionalThresholdAndTop(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "more)") {
 		t.Errorf("-top 3 should elide patterns:\n%s", out.String())
+	}
+}
+
+// TestMinSupConversion mines the bodies of cmd/discserve's
+// TestMinSupConversion and must report the same δ for every value the
+// service accepts, and an error for every value it answers with 400.
+func TestMinSupConversion(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		minsup string
+		ncust  int
+		delta  int // 0: must be rejected
+	}{
+		{"NaN", 3, 0},
+		{"Inf", 3, 0},
+		{"-Inf", 3, 0},
+		{"-3", 3, 0},
+		{"0", 3, 0},
+		{"1e30", 3, 4},
+		{"0.5", 3, 2},
+		{"2", 3, 2},
+		{"0.29", 100, 29},
+		{"0.0075", 1000, 8},
+	} {
+		var db strings.Builder
+		for c := 1; c <= tc.ncust; c++ {
+			fmt.Fprintf(&db, "%d:(1)(2)\n", c)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("chain%d.txt", tc.ncust))
+		if err := os.WriteFile(path, []byte(db.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-in", path, "-minsup", tc.minsup, "-workers", "1"}, &out)
+		if tc.delta == 0 {
+			if err == nil {
+				t.Errorf("-minsup %s accepted:\n%s", tc.minsup, out.String())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-minsup %s: %v", tc.minsup, err)
+			continue
+		}
+		if want := fmt.Sprintf("δ=%d", tc.delta); !strings.Contains(out.String(), want) {
+			t.Errorf("-minsup %s over %d customers: want %s in\n%s", tc.minsup, tc.ncust, want, out.String())
+		}
+		if tc.delta > tc.ncust && !strings.Contains(out.String(), " 0 frequent sequences") {
+			t.Errorf("-minsup %s: patterns above the database size:\n%s", tc.minsup, out.String())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/disc-mining/disc/internal/cliutil"
 	"github.com/disc-mining/disc/internal/core"
 	"github.com/disc-mining/disc/internal/data"
 	"github.com/disc-mining/disc/internal/jobs"
@@ -164,14 +165,9 @@ func (s *server) parseSubmit(w http.ResponseWriter, r *http.Request) (jobs.Reque
 		return req, errors.New("empty database")
 	}
 	req.DB = db
-	// minsup below 1 is a fraction of the database size, like discmine.
-	if minsup < 1 {
-		req.MinSup = int(minsup * float64(len(db)))
-		if req.MinSup < 1 {
-			req.MinSup = 1
-		}
-	} else {
-		req.MinSup = int(minsup)
+	// The same conversion as discmine, so result bytes match its -o file.
+	if req.MinSup, err = cliutil.Delta(minsup, len(db)); err != nil {
+		return req, err
 	}
 	return req, nil
 }

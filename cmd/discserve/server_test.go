@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -247,6 +248,59 @@ func TestBadRequests400(t *testing.T) {
 	}
 	if resp, _ := get(t, ts, "/jobs/ffffffffffffffff"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job = %d, want 404", resp.StatusCode)
+	}
+}
+
+// chainBody is a database of n customers that each bought item 1 and
+// then item 2: it mines in microseconds at any threshold.
+func chainBody(n int) []byte {
+	var b bytes.Buffer
+	for c := 1; c <= n; c++ {
+		fmt.Fprintf(&b, "%d:(1)(2)\n", c)
+	}
+	return b.Bytes()
+}
+
+// TestMinSupConversion pins the service's minsup handling to discmine's
+// (cmd/discmine TestMinSupConversion mines the same bodies): invalid
+// values answer 400 instead of mining at δ = 1, fractions round like
+// discmine's, and a count above the database size mines nothing.
+func TestMinSupConversion(t *testing.T) {
+	ts, _ := testServer(t, jobs.Config{Workers: 1}, data.Limits{}, 0)
+	for _, tc := range []struct {
+		minsup string
+		ncust  int
+		delta  int // 0: must be rejected with 400
+	}{
+		{"NaN", 3, 0},
+		{"Inf", 3, 0},
+		{"-Inf", 3, 0},
+		{"-3", 3, 0},
+		{"0", 3, 0},
+		{"1e30", 3, 4},
+		{"0.5", 3, 2},
+		{"2", 3, 2},
+		{"0.29", 100, 29},
+		{"0.0075", 1000, 8},
+	} {
+		resp, body := post(t, ts, "/jobs?wait=1&minsup="+tc.minsup, chainBody(tc.ncust))
+		if tc.delta == 0 {
+			if resp.StatusCode != http.StatusBadRequest || decodeErr(t, body).Kind != "input" {
+				t.Errorf("minsup=%s: %d %s, want 400 kind input", tc.minsup, resp.StatusCode, body)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("minsup=%s: %d %s", tc.minsup, resp.StatusCode, body)
+			continue
+		}
+		j := decodeJob(t, body)
+		if j.State != "done" || j.MinSup != tc.delta {
+			t.Errorf("minsup=%s over %d customers: job %+v, want done at δ=%d", tc.minsup, tc.ncust, j, tc.delta)
+		}
+		if tc.delta > tc.ncust && j.Patterns != 0 {
+			t.Errorf("minsup=%s: %d patterns above the database size", tc.minsup, j.Patterns)
+		}
 	}
 }
 

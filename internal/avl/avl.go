@@ -20,8 +20,14 @@
 // left links, and Reset rewinds the whole structure in O(1) without
 // releasing the slabs to the garbage collector — a tree drawn from a
 // per-worker arena is reused across DISC rounds and partitions at zero
-// steady-state allocation cost. The seed pointer-per-node implementation
-// survives as Pointer (see pointer.go) purely as a differential oracle.
+// steady-state allocation cost.
+//
+// Tree is the only locative tree in the module, and its API is exactly
+// what the DISC engine calls — Insert, Min, PopMin, Select, Size, Reset
+// and MemBytes — plus Height for the balance tests. Its cost is tracked
+// by the engine's recorded benchmark trajectory (BENCH_pr*.json at the
+// module root: allocs/op and B/op per scale at Workers 1, gated against
+// the previous record; see EXPERIMENTS.md).
 package avl
 
 import (
@@ -30,7 +36,7 @@ import (
 )
 
 // Recorder accumulates structural counters for one or more trees. It is
-// deliberately not a registry instrument: hot insert/delete paths count
+// deliberately not a registry instrument: hot insert/pop paths count
 // into local atomics and the engine folds the totals into its metrics
 // once per run. A nil *Recorder is valid and costs one pointer check.
 type Recorder struct {
@@ -54,19 +60,6 @@ func (r *Recorder) slabGrow() {
 	}
 }
 
-// Interface is the ordered bucket-tree API the DISC engine consumes,
-// satisfied by both the slab Tree (the default) and the seed Pointer
-// tree (the differential oracle behind core.Options.PointerTree).
-type Interface[K, V any] interface {
-	Insert(k K, v V)
-	Min() (k K, vals []V, ok bool)
-	PopMin() (k K, vals []V, ok bool)
-	Select(r int) (k K, ok bool)
-	Size() int
-	Reset()
-	MemBytes() int64
-}
-
 // node is one slot of the structural slab: child links are indices into
 // the same slab, height and size are the AVL height and the
 // order-statistic subtree weight (values counted with multiplicity).
@@ -81,7 +74,7 @@ type node struct {
 // values. The zero value is not usable; construct with New.
 //
 // Ownership contract: the bucket slice returned by PopMin stays valid
-// until the next PopMin, Delete or Reset call on the same tree — Inserts
+// until the next PopMin or Reset call on the same tree — Inserts
 // are safe while the bucket is being iterated (the freed slot is
 // recycled one mutation late, see pending). This matches the DISC
 // engine's pop-then-reinsert round structure exactly.
@@ -93,8 +86,8 @@ type Tree[K, V any] struct {
 	root  int32
 	free  int32 // free-list head, threaded through node.left; 0 = empty
 	used  int32 // slab high-water mark: slots [1, used) are live or freed
-	// pending is the slot released by the most recent PopMin/Delete. It
-	// joins the free list only at the next PopMin/Delete/Reset, so the
+	// pending is the slot released by the most recent PopMin. It joins
+	// the free list only at the next PopMin or Reset, so the
 	// bucket handed to the caller cannot be aliased by an Insert that
 	// happens while the caller still iterates it.
 	pending   int32
@@ -158,13 +151,6 @@ func (t *Tree[K, V]) Size() int {
 		return 0
 	}
 	return int(t.nodes[t.root].size)
-}
-
-// NumKeys returns the number of distinct keys.
-func (t *Tree[K, V]) NumKeys() int {
-	n := 0
-	t.Ascend(func(K, []V) bool { n++; return true })
-	return n
 }
 
 // Height returns the tree height (0 for empty); exposed for balance tests.
@@ -232,13 +218,7 @@ func (t *Tree[K, V]) alloc(k K, v V) int32 {
 	}
 	t.keys[i] = k
 	t.nodes[i] = node{height: 1, size: 1}
-	b := t.vals[i][:0]
-	oc := cap(b)
-	b = append(b, v)
-	if nc := cap(b); nc != oc {
-		t.bucketCap += int64(nc - oc)
-	}
-	t.vals[i] = b
+	t.appendVal(i, v) // every unused or freed slot's bucket is empty
 	return i
 }
 
@@ -262,21 +242,18 @@ func (t *Tree[K, V]) grow() int32 {
 	return i
 }
 
-// flushPending moves the previously popped slot onto the free list; its
+// flushPending pushes the previously popped slot onto the free list; its
 // bucket (still holding the caller-visible slice header) becomes
-// reusable from here on.
+// reusable from here on. The key and the bucket's values are cleared
+// eagerly (a popped value must not stay reachable through the slab); the
+// bucket keeps its backing array so a future alloc of this slot appends
+// into warm memory.
 func (t *Tree[K, V]) flushPending() {
-	if p := t.pending; p != 0 {
-		t.pending = 0
-		t.freeSlot(p)
+	i := t.pending
+	if i == 0 {
+		return
 	}
-}
-
-// freeSlot pushes slot i onto the free list. The key and the bucket's
-// values are cleared eagerly (a popped value must not stay reachable
-// through the slab); the bucket keeps its backing array so a future alloc
-// of this slot appends into warm memory.
-func (t *Tree[K, V]) freeSlot(i int32) {
+	t.pending = 0
 	var zk K
 	t.keys[i] = zk
 	t.releaseBucket(i)
@@ -306,7 +283,7 @@ func (t *Tree[K, V]) Min() (k K, vals []V, ok bool) {
 }
 
 // PopMin removes the smallest key's entire bucket and returns it. The
-// returned bucket stays valid until the next PopMin, Delete or Reset;
+// returned bucket stays valid until the next PopMin or Reset;
 // Inserts in between are safe (see the Tree ownership contract).
 func (t *Tree[K, V]) PopMin() (k K, vals []V, ok bool) {
 	t.flushPending()
@@ -350,95 +327,6 @@ func (t *Tree[K, V]) Select(r int) (k K, ok bool) {
 			i = n.right
 		}
 	}
-}
-
-// Rank returns the number of values with keys strictly smaller than k.
-func (t *Tree[K, V]) Rank(k K) int {
-	r := 0
-	i := t.root
-	for i != 0 {
-		switch c := t.cmp(k, t.keys[i]); {
-		case c <= 0:
-			i = t.nodes[i].left
-		default:
-			r += int(t.nodes[t.nodes[i].left].size) + len(t.vals[i])
-			i = t.nodes[i].right
-		}
-	}
-	return r
-}
-
-// Get returns the bucket stored under k, or ok=false. The bucket is
-// owned by the tree; do not mutate, and treat it as invalidated by the
-// next mutating call.
-func (t *Tree[K, V]) Get(k K) (vals []V, ok bool) {
-	i := t.root
-	for i != 0 {
-		switch c := t.cmp(k, t.keys[i]); {
-		case c < 0:
-			i = t.nodes[i].left
-		case c > 0:
-			i = t.nodes[i].right
-		default:
-			return t.vals[i], true
-		}
-	}
-	return nil, false
-}
-
-// Delete removes the entire bucket stored under k; it reports whether
-// the key was present. Like PopMin, the freed slot is recycled one
-// mutating call late.
-func (t *Tree[K, V]) Delete(k K) bool {
-	t.flushPending()
-	var deleted bool
-	t.root, deleted = t.delete(t.root, k)
-	return deleted
-}
-
-func (t *Tree[K, V]) delete(i int32, k K) (int32, bool) {
-	if i == 0 {
-		return 0, false
-	}
-	var deleted bool
-	switch c := t.cmp(k, t.keys[i]); {
-	case c < 0:
-		l, d := t.delete(t.nodes[i].left, k)
-		t.nodes[i].left, deleted = l, d
-	case c > 0:
-		r, d := t.delete(t.nodes[i].right, k)
-		t.nodes[i].right, deleted = r, d
-	default:
-		l, r := t.nodes[i].left, t.nodes[i].right
-		t.pending = i
-		if l == 0 {
-			return r, true
-		}
-		if r == 0 {
-			return l, true
-		}
-		// Splice the successor node (minimum of the right subtree) into
-		// i's position; the successor keeps its own key and bucket.
-		nr, s := t.popMin(r)
-		t.nodes[s].left, t.nodes[s].right = l, nr
-		return t.rebalance(s), true
-	}
-	if !deleted {
-		return i, false
-	}
-	return t.rebalance(i), true
-}
-
-// Ascend visits buckets in ascending key order until fn returns false.
-func (t *Tree[K, V]) Ascend(fn func(k K, vals []V) bool) {
-	t.ascend(t.root, fn)
-}
-
-func (t *Tree[K, V]) ascend(i int32, fn func(K, []V) bool) bool {
-	if i == 0 {
-		return true
-	}
-	return t.ascend(t.nodes[i].left, fn) && fn(t.keys[i], t.vals[i]) && t.ascend(t.nodes[i].right, fn)
 }
 
 // update recomputes height and size of node i from its children. The

@@ -12,9 +12,34 @@ func intTree() *Tree[int, int] {
 	return New[int, int](func(a, b int) int { return a - b })
 }
 
+// bucket is one distinct key with its values, as an in-order walk of the
+// slab finds them.
+type bucket struct {
+	key  int
+	vals []int
+}
+
+// walk returns the tree's buckets in ascending key order by traversing
+// the slab directly, so the tests read the structure without a
+// test-only method on Tree.
+func walk(tr *Tree[int, int]) []bucket {
+	var out []bucket
+	var rec func(i int32)
+	rec = func(i int32) {
+		if i == 0 {
+			return
+		}
+		rec(tr.nodes[i].left)
+		out = append(out, bucket{tr.keys[i], tr.vals[i]})
+		rec(tr.nodes[i].right)
+	}
+	rec(tr.root)
+	return out
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := intTree()
-	if tr.Size() != 0 || tr.NumKeys() != 0 || tr.Height() != 0 {
+	if tr.Size() != 0 || len(walk(tr)) != 0 || tr.Height() != 0 {
 		t.Fatal("empty tree has nonzero size/keys/height")
 	}
 	if _, _, ok := tr.Min(); ok {
@@ -26,9 +51,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Select(1); ok {
 		t.Error("Select on empty tree")
 	}
-	if tr.Delete(3) {
-		t.Error("Delete on empty tree")
-	}
 }
 
 func TestInsertBucketsAndMin(t *testing.T) {
@@ -37,19 +59,16 @@ func TestInsertBucketsAndMin(t *testing.T) {
 	tr.Insert(3, 30)
 	tr.Insert(5, 51)
 	tr.Insert(8, 80)
-	if tr.Size() != 4 || tr.NumKeys() != 3 {
-		t.Fatalf("Size=%d NumKeys=%d, want 4,3", tr.Size(), tr.NumKeys())
+	bs := walk(tr)
+	if tr.Size() != 4 || len(bs) != 3 {
+		t.Fatalf("Size=%d keys=%d, want 4,3", tr.Size(), len(bs))
 	}
 	k, vals, ok := tr.Min()
 	if !ok || k != 3 || len(vals) != 1 || vals[0] != 30 {
 		t.Fatalf("Min = %d %v %v", k, vals, ok)
 	}
-	vals, ok = tr.Get(5)
-	if !ok || len(vals) != 2 {
-		t.Fatalf("Get(5) = %v %v", vals, ok)
-	}
-	if _, ok := tr.Get(4); ok {
-		t.Error("Get(4) should miss")
+	if b := bs[1]; b.key != 5 || len(b.vals) != 2 || b.vals[0] != 50 || b.vals[1] != 51 {
+		t.Fatalf("bucket of key 5 = %+v, want values 50, 51 in insertion order", b)
 	}
 }
 
@@ -71,18 +90,6 @@ func TestSelectCountsMultiplicity(t *testing.T) {
 	}
 	if _, ok := tr.Select(7); ok {
 		t.Error("Select(7) should fail")
-	}
-}
-
-func TestRank(t *testing.T) {
-	tr := intTree()
-	for i, k := range []int{1, 1, 2, 2, 2, 5} {
-		tr.Insert(k, i)
-	}
-	for _, c := range []struct{ k, want int }{{0, 0}, {1, 0}, {2, 2}, {3, 5}, {5, 5}, {9, 6}} {
-		if got := tr.Rank(c.k); got != c.want {
-			t.Errorf("Rank(%d) = %d, want %d", c.k, got, c.want)
-		}
 	}
 }
 
@@ -114,49 +121,6 @@ func TestPopMinDrains(t *testing.T) {
 	}
 	if tr.Size() != 0 {
 		t.Error("tree not empty after drain")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 64; i++ {
-		tr.Insert(i, i)
-	}
-	// Delete interior keys with both children, leaves, and the root path.
-	for _, k := range []int{31, 0, 63, 16, 48, 32} {
-		if !tr.Delete(k) {
-			t.Fatalf("Delete(%d) = false", k)
-		}
-		if tr.Delete(k) {
-			t.Fatalf("double Delete(%d) = true", k)
-		}
-		checkInvariants(t, tr)
-	}
-	if tr.Size() != 58 {
-		t.Fatalf("Size = %d, want 58", tr.Size())
-	}
-}
-
-func TestAscendOrderAndEarlyStop(t *testing.T) {
-	tr := intTree()
-	for _, k := range []int{5, 1, 9, 3, 7} {
-		tr.Insert(k, k)
-	}
-	var got []int
-	tr.Ascend(func(k int, _ []int) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int{1, 3, 5, 7, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ascend order %v, want %v", got, want)
-		}
-	}
-	n := 0
-	tr.Ascend(func(int, []int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("early stop visited %d, want 3", n)
 	}
 }
 
@@ -196,15 +160,15 @@ func checkInvariants(t *testing.T, tr *Tree[int, int]) {
 }
 
 // TestInvariantsUnderRandomOps is a property test: after any random mix of
-// inserts, pop-mins and deletes, the AVL invariants hold and Select agrees
-// with a sorted-slice model.
+// inserts and pop-mins, the AVL invariants hold and Select and an
+// in-order walk of the slab agree with a sorted-slice model.
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr := intTree()
 		var model []int // sorted multiset of keys
 		for op := 0; op < 300; op++ {
-			switch r.Intn(4) {
+			switch r.Intn(3) {
 			case 0, 1: // insert
 				k := r.Intn(40)
 				tr.Insert(k, op)
@@ -231,20 +195,6 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 					return false
 				}
 				model = model[cnt:]
-			case 3: // delete random key
-				if len(model) == 0 {
-					continue
-				}
-				k := model[r.Intn(len(model))]
-				if !tr.Delete(k) {
-					return false
-				}
-				lo := sort.SearchInts(model, k)
-				hi := lo
-				for hi < len(model) && model[hi] == k {
-					hi++
-				}
-				model = append(model[:lo], model[hi:]...)
 			}
 		}
 		checkInvariants(t, tr)
@@ -257,7 +207,16 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		i := 0
+		for _, b := range walk(tr) {
+			for range b.vals {
+				if i >= len(model) || model[i] != b.key {
+					return false
+				}
+				i++
+			}
+		}
+		return i == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

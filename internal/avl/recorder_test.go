@@ -20,11 +20,11 @@ func TestRecorderCountsRotations(t *testing.T) {
 	}
 	before := rec.Rotations.Load()
 	for i := 0; i < 32; i++ {
-		obs.Delete(i)
-		plain.Delete(i)
+		obs.PopMin()
+		plain.PopMin()
 	}
 	if rec.Rotations.Load() <= before {
-		t.Errorf("deletes produced no rotations (before=%d after=%d)", before, rec.Rotations.Load())
+		t.Errorf("pop-mins produced no rotations (before=%d after=%d)", before, rec.Rotations.Load())
 	}
 	if obs.Height() != plain.Height() {
 		t.Error("observed tree diverged from plain tree")

@@ -7,104 +7,72 @@ import (
 	"testing/quick"
 )
 
-// TestSlabMatchesPointerAndOracle is the differential property test for the
-// slab tree: a random mix of insert / delete / pop-min / reset operations is
-// applied to the slab Tree, the seed Pointer tree, and a sorted-slice
-// oracle, and after every operation the three must agree on Size, Min,
-// Select at every rank, Rank at probe keys, and Get buckets.
-func TestSlabMatchesPointerAndOracle(t *testing.T) {
-	cmp := func(a, b int) int { return a - b }
+// TestTreeMatchesOracle is the differential property test for the tree:
+// a random mix of insert / pop-min / reset operations is applied to the
+// Tree and to a sorted-slice oracle of (key, value) entries, and after
+// every operation the two must agree on Size, Min, Select at every rank
+// and, through an in-order walk of the slab, on every bucket's values in
+// insertion order.
+func TestTreeMatchesOracle(t *testing.T) {
+	type entry struct{ k, v int }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		slab := New[int, int](cmp)
-		ptr := NewPointer[int, int](cmp)
-		var model []int // sorted multiset of keys
+		tr := New[int, int](func(a, b int) int { return a - b })
+		var model []entry // sorted by key; equal keys in insertion order
 		agree := func() bool {
-			if slab.Size() != len(model) || ptr.Size() != len(model) {
+			if tr.Size() != len(model) {
 				return false
 			}
-			sk, sv, sok := slab.Min()
-			pk, pv, pok := ptr.Min()
-			if sok != pok || (sok && (sk != pk || len(sv) != len(pv))) {
+			k, vals, ok := tr.Min()
+			if ok != (len(model) > 0) || (ok && (k != model[0].k || len(vals) == 0)) {
 				return false
 			}
 			for rk := 1; rk <= len(model); rk++ {
-				a, aok := slab.Select(rk)
-				b, bok := ptr.Select(rk)
-				if !aok || !bok || a != b || a != model[rk-1] {
+				a, aok := tr.Select(rk)
+				if !aok || a != model[rk-1].k {
 					return false
 				}
 			}
-			for probe := -1; probe < 42; probe += 7 {
-				if slab.Rank(probe) != ptr.Rank(probe) {
-					return false
-				}
-				sv, sok := slab.Get(probe)
-				pv, pok := ptr.Get(probe)
-				if sok != pok || len(sv) != len(pv) {
-					return false
-				}
-				for i := range sv {
-					if sv[i] != pv[i] {
+			i := 0
+			for _, b := range walk(tr) {
+				for _, v := range b.vals {
+					if i >= len(model) || model[i] != (entry{b.key, v}) {
 						return false
 					}
+					i++
 				}
 			}
-			return true
+			return i == len(model)
 		}
 		for op := 0; op < 400; op++ {
-			switch r.Intn(8) {
+			switch r.Intn(7) {
 			case 0, 1, 2, 3: // insert
 				k := r.Intn(40)
-				slab.Insert(k, op)
-				ptr.Insert(k, op)
-				i := sort.SearchInts(model, k)
-				model = append(model, 0)
+				tr.Insert(k, op)
+				i := sort.Search(len(model), func(i int) bool { return model[i].k > k })
+				model = append(model, entry{})
 				copy(model[i+1:], model[i:])
-				model[i] = k
+				model[i] = entry{k, op}
 			case 4, 5: // pop min bucket, compare contents
-				sk, sv, sok := slab.PopMin()
-				pk, pv, pok := ptr.PopMin()
-				if sok != pok {
+				k, vals, ok := tr.PopMin()
+				if ok != (len(model) > 0) {
 					return false
 				}
-				if !sok {
+				if !ok {
 					continue
 				}
-				if sk != pk || len(sv) != len(pv) {
-					return false
-				}
-				for i := range sv {
-					if sv[i] != pv[i] {
+				for i, v := range vals {
+					if i >= len(model) || model[i] != (entry{k, v}) {
 						return false
 					}
 				}
-				cnt := 0
-				for cnt < len(model) && model[cnt] == sk {
-					cnt++
+				if len(vals) < len(model) && model[len(vals)].k == k {
+					return false // the bucket missed a value of its key
 				}
-				if len(sv) != cnt {
-					return false
-				}
-				model = model[cnt:]
-			case 6: // delete random key
-				if len(model) == 0 {
-					continue
-				}
-				k := model[r.Intn(len(model))]
-				if !slab.Delete(k) || !ptr.Delete(k) {
-					return false
-				}
-				lo := sort.SearchInts(model, k)
-				hi := lo
-				for hi < len(model) && model[hi] == k {
-					hi++
-				}
-				model = append(model[:lo], model[hi:]...)
-			case 7: // occasional full reset: exercises slab reuse
+				model = model[len(vals):]
+			case 6: // occasional full reset: exercises slab reuse
 				if r.Intn(10) == 0 {
-					slab.Reset()
-					ptr.Reset()
+					tr.Reset()
 					model = model[:0]
 				}
 			}
@@ -112,7 +80,7 @@ func TestSlabMatchesPointerAndOracle(t *testing.T) {
 				return false
 			}
 		}
-		checkInvariants(t, slab)
+		checkInvariants(t, tr)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -123,7 +91,7 @@ func TestSlabMatchesPointerAndOracle(t *testing.T) {
 // TestPopMinBucketSurvivesInserts pins the ownership contract the DISC
 // round loop relies on: the bucket returned by PopMin must remain intact
 // while the caller re-Inserts into the same tree, and may only be recycled
-// by the next PopMin/Delete/Reset.
+// by the next PopMin or Reset.
 func TestPopMinBucketSurvivesInserts(t *testing.T) {
 	tr := New[int, int](func(a, b int) int { return a - b })
 	for i := 0; i < 8; i++ {
@@ -213,12 +181,4 @@ func TestMemBytesTracksSlabs(t *testing.T) {
 	if got := tr.MemBytes(); got != full {
 		t.Fatalf("Reset changed MemBytes %d -> %d; slabs should be retained", full, got)
 	}
-}
-
-// TestInterfaceCompliance pins both implementations to the engine-facing
-// Interface at compile time.
-func TestInterfaceCompliance(t *testing.T) {
-	cmp := func(a, b int) int { return a - b }
-	var _ Interface[int, int] = New[int, int](cmp)
-	var _ Interface[int, int] = NewPointer[int, int](cmp)
 }

@@ -1,15 +1,38 @@
-// Package cliutil holds the flag plumbing shared by the mining binaries
+// Package cliutil holds the plumbing shared by the mining binaries
 // (discmine and discserve): the resource-budget and checkpoint-cadence
 // knobs are registered through one function with one set of names,
-// defaults and help strings, so the two binaries cannot drift apart.
+// defaults and help strings, and the minimum-support value is converted
+// to δ by one function, so the two binaries cannot drift apart.
 package cliutil
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"time"
 
 	"github.com/disc-mining/disc/internal/core"
+	"github.com/disc-mining/disc/internal/mining"
 )
+
+// Delta converts a minimum-support value into the absolute threshold δ
+// over a database of n customers. A value below 1 is a fraction of n,
+// rounded as mining.AbsSupport rounds it; a value at or above 1 is an
+// absolute count (its fractional part dropped), and a count above n
+// becomes n+1, a threshold no pattern can reach. NaN, infinities and
+// values at or below 0 are rejected.
+func Delta(minsup float64, n int) (int, error) {
+	if math.IsNaN(minsup) || math.IsInf(minsup, 0) || minsup <= 0 {
+		return 0, fmt.Errorf("minsup must be a positive finite number, got %v", minsup)
+	}
+	if minsup < 1 {
+		return mining.AbsSupport(minsup, n), nil
+	}
+	if minsup > float64(n) {
+		return n + 1, nil
+	}
+	return int(minsup), nil
+}
 
 // SharedFlags are the budget/checkpoint settings every mining binary
 // exposes under identical flag names.

@@ -12,10 +12,9 @@ import (
 )
 
 // TestArenaRaceHammer is the -race proof of the aliasing rules stated in
-// arena.go: several complete parallel runs — slab and pointer engines —
-// mine the same database concurrently, each drawing arena bundles from
-// its own run pool, and every run must reproduce the serial reference
-// result. Any sharing of scratch state across engines, any flag-table
+// arena.go: several complete parallel runs mine the same database
+// concurrently, each drawing arena bundles from its own run pool, and
+// every run must reproduce the serial reference result. Any sharing of scratch state across engines, any flag-table
 // write racing an eagerBuckets reader, or any bundle recycled while
 // still referenced shows up as a race report or a diverging result.
 func TestArenaRaceHammer(t *testing.T) {
@@ -39,11 +38,10 @@ func TestArenaRaceHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for run := 0; run < runs; run++ {
-		pointer := run%2 == 1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: workers, PointerTree: pointer}}
+			m := &Miner{Opts: Options{BiLevel: true, Levels: 2, Workers: workers}}
 			res, err := m.Mine(db, minSup)
 			if err != nil {
 				errs <- err
@@ -108,7 +106,7 @@ func TestArenaStatsCounters(t *testing.T) {
 // flag tables, reduced-sequence staging, distinct-items scan,
 // frequent-extension collection — must not touch the heap at all.
 func TestScratchSteadyStateAllocs(t *testing.T) {
-	s := newScratch(40, false, nil, nil)
+	s := newScratch(40, nil, nil)
 	pats := make([]seq.Pattern, 16)
 	for i := range pats {
 		pats[i] = seq.NewPattern(seq.NewItemset(seq.Item(i+1)), seq.NewItemset(seq.Item(i/2+1)))

@@ -141,7 +141,7 @@ func TestReduceMembersMatchesReference(t *testing.T) {
 // TestReducedStagingCountedInMemBytes: the store's staging buffers are
 // part of the arena footprint the memory budget reads, exactly.
 func TestReducedStagingCountedInMemBytes(t *testing.T) {
-	s := newScratch(40, false, nil, nil)
+	s := newScratch(40, nil, nil)
 	base := s.MemBytes()
 	s.reduced.Begin()
 	for x := seq.Item(1); x <= 30; x++ {
